@@ -97,9 +97,10 @@ let rec spin_tree d iters =
 
 (* Serial spawn chain: n+1 nodes in strict sequence, T1 = Tinf = n+1
    node-times — the maximal-span counterpart to the tree, pinning the
-   Tinf*P/Pbar coefficient in the fit.  Each link is a real spawn, so
-   the chain hops across workers by stealing and crosses a gate safe
-   point ([Future.force]'s help loop) at every node. *)
+   Tinf*P/Pbar coefficient in the fit.  Each link is a real spawn
+   whose join crosses a gate safe point at every node: an unstolen link
+   is reclaimed and run inline ([Pool.reclaim] checks the gate first),
+   a stolen one hops to its thief and its join waits. *)
 let rec spin_chain n iters =
   spin_work iters;
   if n = 0 then 1

@@ -3,10 +3,18 @@
     functions must run inside {!Pool.run}. *)
 
 val merge_sort : ?grain:int -> cmp:('a -> 'a -> int) -> 'a array -> 'a array
-(** Stable parallel merge sort: recursive halving with a spawned left
+(** Stable parallel merge sort: recursive halving with a spawned right
     half (one spawn per internal node of the recursion tree — the fib
-    dag shape); subarrays of at most [grain] (default 512) elements fall
-    back to the stdlib sort.  Does not mutate its input. *)
+    dag shape); subarrays of at most [grain] (default 512) elements are
+    sorted sequentially.  Merges of more than a few thousand elements
+    are themselves split by binary search and merged in parallel.  Does
+    not mutate its input.
+
+    Memory: two [n]-element buffers — the copy of the input that is
+    returned and one scratch array; the merge direction alternates
+    between them level by level, so no level allocates.  Work
+    [O(n log n)]; span [O(log^3 n + grain log grain)] ([O(log^2 n)]
+    per parallel merge, over [O(log n)] levels). *)
 
 val scan_inclusive : ?grain:int -> op:('a -> 'a -> 'a) -> 'a array -> 'a array
 (** Inclusive prefix scan under an associative [op], by the classic

@@ -2,19 +2,22 @@
     work-stealing runtime.
 
     [spawn] pushes a task onto the calling worker's deque bottom (the
-    thread-creation action of the scheduling loop); [force] joins.  A
-    future is an {!Abp_fiber.Fiber.Promise.t} resolved by the spawned
-    task, and a pending [force] called from a fiber context (any task
-    body on the pool) {e suspends}: the continuation parks on the
-    promise and the worker returns to the Figure 3 loop — a blocked
-    join never occupies its process.  Outside a fiber context [force]
-    falls back to the classic helping loop (execute local or stolen
-    tasks while polling), mirroring how a blocked thread's process pops
-    a new assigned thread in the paper's loop. *)
+    thread-creation action of the scheduling loop); [force] joins
+    {e work-first}, as a process at a join does in the paper's Figure 3
+    loop: it pops its own deque bottom, and if the child is still there
+    (nobody stole it) runs it inline, on the current stack, for the
+    cost of one deque pop.  Only the join of a stolen child waits: in
+    a fiber context (any task body on the pool) it {e suspends} — the
+    continuation parks on the child's promise and the worker returns to
+    the scheduling loop, so a blocked join never occupies its process.
+    Outside a fiber context [force] falls back to the classic helping
+    loop (execute local or stolen tasks while polling), mirroring how a
+    blocked thread's process pops a new assigned thread in the paper's
+    loop.  Suspensions therefore scale with steals, not with spawns. *)
 
-type 'a t = 'a Abp_fiber.Fiber.Promise.t
-(** A future is its underlying promise: [Fiber.await]-able directly,
-    and resolvable only by the spawned task. *)
+type 'a t
+(** A spawned computation: the promise its task resolves, plus the
+    task as stored in the deque (so [force] can recognise it there). *)
 
 val spawn : (unit -> 'a) -> 'a t
 (** Must be called from inside {!Pool.run} (or a task).  The computation
@@ -22,9 +25,12 @@ val spawn : (unit -> 'a) -> 'a t
     {!force}. *)
 
 val force : 'a t -> 'a
-(** Wait for the value: suspend the current fiber when pending (in a
-    fiber context), or help compute it (out of context).  Re-raises the
-    task's exception, with its original backtrace, if it failed. *)
+(** Wait for the value.  An unstolen child at the bottom of the calling
+    worker's deque is popped and run inline; otherwise [force] suspends
+    the current fiber while the child is pending (in a fiber context),
+    or helps compute it (out of context).  Re-raises the task's
+    exception, with its original backtrace, if it failed — whether the
+    child ran inline or was stolen. *)
 
 val is_resolved : 'a t -> bool
 

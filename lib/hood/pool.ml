@@ -234,8 +234,8 @@ module Impl (D : Spec.DETAILED) = struct
   (* Safe-point check of the multiprogramming preemption gate.  Called
      only where the worker holds no acquired-but-unpublished tasks: at
      the top of the scheduling loop (i.e. after each completed task),
-     between failed steal attempts, before parking, and in
-     {!Future.force}'s help loop.  Batched acquisitions re-push their
+     between failed steal attempts, before parking, at every join
+     ([reclaim]) and in {!Future.force}'s help loop.  Batched acquisitions re-push their
      surplus onto the worker's own deque inside [try_get_task], before
      any of these points can be reached, so a worker suspended at a gate
      can never strand transferable work — everything it owns sits in its
@@ -249,7 +249,8 @@ module Impl (D : Spec.DETAILED) = struct
     (* Claim-wrap at the single entry point for new tasks, so every
        closure a Wsm deque can duplicate carries exactly one flag.
        Stolen surpluses re-pushed by [repush_surplus] are already
-       wrapped (the wrap travels with the closure). *)
+       wrapped (the wrap travels with the closure).  The closure
+       actually stored is returned: it is what [reclaim] looks for. *)
     let task = if w.pool.shared.claim_tasks then claim_wrap task else task in
     let d = w.pool.deques.(w.id) in
     D.push_bottom d task;
@@ -257,7 +258,38 @@ module Impl (D : Spec.DETAILED) = struct
     c.Counters.pushes <- c.Counters.pushes + 1;
     Counters.note_depth c (D.size d);
     emit w Abp_trace.Event.Spawn;
-    wake_waiters w.pool.shared
+    wake_waiters w.pool.shared;
+    task
+
+  (* The work-first join (Figure 3 at a join: the process pops its own
+     deque bottom).  If the bottom is [task] — the joining parent's
+     child, still unstolen — it is taken like any own pop and the
+     caller runs it inline.  Any other bottom (the child was stolen,
+     the parent migrated to this worker from another, or the parent
+     joins out of spawn order) goes straight back with a bare push: it
+     was never taken, so neither [pops] nor [pushes] moves and nobody
+     needs waking.
+
+     Every join is a gate safe point: the worker holds no
+     acquired-but-unpublished task here, and without the check a busy
+     worker would run a whole unstolen subtree inline straight through
+     a closed gate. *)
+  let reclaim w task =
+    checkpoint w;
+    let d = w.pool.deques.(w.id) in
+    let c = w.c in
+    match D.pop_bottom_detailed d with
+    | Spec.Got t when t == task ->
+        c.Counters.pops <- c.Counters.pops + 1;
+        emit w Abp_trace.Event.Execute;
+        true
+    | Spec.Got t ->
+        D.push_bottom d t;
+        false
+    | Spec.Contended ->
+        c.Counters.cas_failures_pop_bottom <- c.Counters.cas_failures_pop_bottom + 1;
+        false
+    | Spec.Empty -> false
 
   (* Observed size of the worker's own deque — the signal lazy-splitting
      loops ({!Par.parallel_for}) use to decide whether to split (deque
@@ -683,6 +715,15 @@ let suspended t = Atomic.get (shared_of t).n_suspended
    handler, parking the helper itself. *)
 let run_task w task = Fiber.run (shared_of (pool_of w)).fsched task
 
+(* Off the pool there is no own deque, so nothing to reclaim. *)
+let reclaim task =
+  match !(Domain.DLS.get context_key) with
+  | Some (Abp_worker w) -> Abp_impl.reclaim w task
+  | Some (Circular_worker w) -> Circular_impl.reclaim w task
+  | Some (Locked_worker w) -> Locked_impl.reclaim w task
+  | Some (Wsm_worker w) -> Wsm_impl.reclaim w task
+  | None -> false
+
 let with_context w f =
   let slot = Domain.DLS.get context_key in
   let cslot = Domain.DLS.get exec_counters_key in
@@ -748,7 +789,7 @@ let make_fiber_sched sh =
     (* Fulfilled from a worker (of any pool): the continuation becomes
        an ordinary task on the fulfiller's own deque — locality for
        same-pool wakes, natural cross-shard migration otherwise. *)
-    | Some w -> push_task w task
+    | Some w -> ignore (push_task w task : unit -> unit)
     (* Fulfilled off-pool (a backend domain): hand it to the handler's
        home pool through the resume inbox. *)
     | None -> resume_push sh task
@@ -771,7 +812,7 @@ let make_fiber_sched sh =
   in
   { Fiber.schedule; on_suspend; on_resume }
 
-let create ?processes ?deque_capacity ?(yield_between_steals = true) ?yield_kind
+let create ?processes ?deque_capacity ?(yield_kind = Yield_local)
     ?(park_threshold = default_park_threshold) ?(deque_impl = Abp) ?(batch = 0) ?trace
     ?external_source ?remote_source ?(spawn_all = false) ?gate () =
   let processes = Option.value processes ~default:(Domain.recommended_domain_count ()) in
@@ -780,12 +821,6 @@ let create ?processes ?deque_capacity ?(yield_between_steals = true) ?yield_kind
   if batch < 0 then invalid_arg "Pool.create: batch >= 0 required";
   (* 0 and 1 both mean classic single-task transfer. *)
   let batch = max 1 batch in
-  (* [yield_kind] wins over the legacy boolean when both are given. *)
-  let yield_kind =
-    match yield_kind with
-    | Some k -> k
-    | None -> if yield_between_steals then Yield_local else No_yield
-  in
   (match trace with
   | Some s when Sink.workers s <> processes ->
       invalid_arg "Pool.create: trace sink must have one worker per process"

@@ -26,13 +26,16 @@
       after [park_threshold] consecutive empty-handed trips it parks on
       a condition variable until the next [push_task] (which wakes a
       parked thief with a single atomic read on the fast path) or
-      {!shutdown}.  [yield_between_steals:false] (the E12/E15 ablation)
+      {!shutdown}.  [~yield_kind:No_yield] (the E12/E15 ablation)
       disables all three stages: thieves spin hot, exactly the paper's
       "no yield" pathology.
 
     Tasks are spawned {e parent-first}: [spawn] pushes the child task and
     the parent continues — one of the two orders the paper proves the
-    bounds for (Section 3.1); the simulator's ablation covers both.
+    bounds for (Section 3.1); the simulator's ablation covers both.  At
+    the join the parent pops its own deque bottom, as a Figure 3 process
+    does: an unstolen child is found there and run inline
+    ({!reclaim}), and only a stolen child's join suspends.
 
     Typical use:
     {[
@@ -105,11 +108,12 @@ type gate_hook = {
     multiprogramming harness's stand-in for the kernel's right to
     deschedule a process.  The pool polls it at {e safe points} only —
     the top of the worker loop (so after each completed task), between
-    failed steal attempts, before parking, and inside {!Future.force}'s
-    help loop — points where the worker holds no
-    acquired-but-unpublished tasks: batched steal/inject surplus is
-    re-pushed onto the worker's own deque {e before} the next safe
-    point, so suspending a worker never strands transferable work.
+    failed steal attempts, before parking, at every join ({!reclaim}),
+    and inside {!Future.force}'s help loop — points where the worker
+    holds no acquired-but-unpublished tasks: batched steal/inject
+    surplus is re-pushed onto the worker's own deque {e before} the
+    next safe point, so suspending a worker never strands transferable
+    work.
 
     The gate owner must reopen all gates before {!shutdown} (a worker
     blocked at a gate cannot observe the shutdown flag);
@@ -161,7 +165,6 @@ type remote_source = {
 val create :
   ?processes:int ->
   ?deque_capacity:int ->
-  ?yield_between_steals:bool ->
   ?yield_kind:yield_kind ->
   ?park_threshold:int ->
   ?deque_impl:deque_impl ->
@@ -180,18 +183,16 @@ val create :
     ABP deque is a fixed array, as in the paper; default
     {!Abp_deque.Atomic_deque.default_capacity} = 65536 slots, plenty for
     divide-and-conquer workloads whose deque depth is logarithmic).
-    [yield_between_steals] (default true) controls the Figure 3 yield
-    between failed steal attempts and the backoff/parking that extends
-    it; disabling it is the E15 ablation showing thieves monopolizing
-    the processor.  [yield_kind] is the finer-grained selector (it wins
-    over the boolean when both are given): [No_yield] ≡
-    [yield_between_steals:false], [Yield_local] ≡ the default, and
+    [yield_kind] (default [Yield_local]) selects what a thief does
+    between failed steal attempts: the Figure 3 yield and the
+    backoff/parking that extends it; [No_yield] is the E15 ablation
+    showing thieves monopolizing the processor; and
     [Yield_to_random]/[Yield_to_all] additionally escalate each failed
     steal to the attached [gate] — the paper's kernel yield directives,
     enforced by the {!Abp_mp} controller.  [park_threshold] (default 16) is the number of
     consecutive empty-handed worker-loop trips before an idle thief
     parks; [0] parks after the first failed trip (it still yields
-    once), and it only applies when [yield_between_steals] is [true].
+    once), and it does not apply under [No_yield].
     [deque_impl] selects the worker-deque implementation (default
     {!Abp}).  Requires [processes >= 1], [park_threshold >= 0] and
     [batch >= 0].
@@ -361,7 +362,24 @@ val note_deadline_miss : unit -> unit
     worker's record; a non-worker caller is a no-op. *)
 
 val pool_of : worker -> t
-val push_task : worker -> (unit -> unit) -> unit
+val push_task : worker -> (unit -> unit) -> unit -> unit
+(** Push a task onto the worker's own deque bottom, waking a parked
+    thief if any.  Returns the closure actually stored — on a {!Wsm}
+    pool the claim-flag wrapper around the argument — which is what
+    {!reclaim} compares against. *)
+
+val reclaim : (unit -> unit) -> bool
+(** [reclaim task] is the work-first join: pass a gate safe point
+    ({!checkpoint}), then pop the calling worker's own deque bottom and
+    return [true] if it is [task] (physical equality with a closure
+    returned by {!push_task}), counted as an ordinary [pops]; the
+    caller then runs [task] itself.  Any other
+    bottom is put back with a bare push (no counter, no wake-up), and
+    an empty or contended pop, or a caller that is not a pool worker,
+    reports [false]: the task was stolen, or the caller is not the
+    worker that pushed it.  [pushes = pops + stolen_tasks] at
+    quiescence (plus [duplicate_steals] on {!Wsm}) still holds. *)
+
 val try_get_task : worker -> (unit -> unit) option
 val relax : unit -> unit
 
@@ -385,9 +403,9 @@ val fiber_sched : t -> Abp_fiber.Fiber.sched
 
 val checkpoint : worker -> unit
 (** Gate safe point: blocks while the worker's preemption gate is
-    closed (no-op on ungated pools).  {!Future.force} calls this each
-    trip around its help loop so a worker blocked on a future still
-    honours suspensions. *)
+    closed (no-op on ungated pools).  {!reclaim} calls this at every
+    join, and {!Future.force} each trip around its help loop, so a
+    worker running or waiting on futures still honours suspensions. *)
 
 val local_deque_size : worker -> int
 (** Observed size of the worker's own deque — the lazy-splitting signal

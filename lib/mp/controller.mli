@@ -11,9 +11,10 @@
 
     {2 Approximations (documented divergences from the paper's model)}
 
-    - Suspension is {e cooperative}: a revoked worker finishes its
-      current task before blocking, whereas the paper's kernel preempts
-      instantly.  Quanta therefore vary slightly in effective length.
+    - Suspension is {e cooperative}: a revoked worker runs on to its
+      next safe point (the end of its current task or its next join)
+      before blocking, whereas the paper's kernel preempts instantly.
+      Quanta therefore vary slightly in effective length.
     - A suspended worker's deque remains stealable, so work it holds is
       not locked away (the paper's model ties a node to its process).
       This is why a yield-less pool under [starve-workers] still

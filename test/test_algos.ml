@@ -81,15 +81,49 @@ let filter_none_and_all () =
   Alcotest.(check (array int)) "none" [||] (with_pool (fun () -> Algos.filter (fun _ -> false) input));
   Alcotest.(check (array int)) "all" input (with_pool (fun () -> Algos.filter (fun _ -> true) input))
 
-let prop_sort =
-  QCheck2.Test.make ~name:"merge_sort matches stdlib on random arrays" ~count:25
-    QCheck2.Gen.(pair (list_size (int_range 0 500) (int_range (-50) 50)) (int_range 1 64))
-    (fun (items, grain) ->
-      let input = Array.of_list items in
-      let got = with_pool (fun () -> Algos.merge_sort ~grain ~cmp:compare input) in
-      let want = Array.copy input in
-      Array.stable_sort compare want;
-      got = want)
+(* merge_sort against [Array.stable_sort] on records with heavily
+   duplicated keys (so an unstable merge would reorder the [idx]
+   field), at the sizes where its structure changes — 0, 1, the
+   default grain (512) +-1 and the internal merge cutoff (4096) +-1 —
+   and at random small and large (up to 50 000) sizes with the default
+   or a tiny grain, on a pool of [procs] workers.  The input must come
+   back unmutated. *)
+type record = { key : int; idx : int }
+
+let sort_edge_sizes = [ 0; 1; 511; 512; 513; 4095; 4096; 4097 ]
+
+let prop_sort ~procs =
+  let pool = Pool.create ~processes:procs () in
+  let cmp x y = compare x.key y.key in
+  let check (n, grain, seed) =
+    let rng = Random.State.make [| seed |] in
+    let keys = 1 + Random.State.int rng 8 in
+    let input = Array.init n (fun idx -> { key = Random.State.int rng keys; idx }) in
+    let before = Array.copy input in
+    let got = Pool.run pool (fun () -> Algos.merge_sort ?grain ~cmp input) in
+    let want = Array.copy input in
+    Array.stable_sort cmp want;
+    got = want && input = before
+  in
+  let prop =
+    QCheck2.Test.make
+      ~name:(Printf.sprintf "merge_sort matches stdlib on records at P=%d" procs)
+      ~count:30
+      QCheck2.Gen.(
+        triple
+          (oneof [ oneofl sort_edge_sizes; int_range 0 500; int_range 0 50_000 ])
+          (opt (int_range 1 64))
+          (int_bound 1_000_000))
+      check
+  in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      List.iter
+        (fun n ->
+          if not (check (n, None, n)) then Alcotest.failf "merge_sort differs at size %d" n)
+        sort_edge_sizes;
+      QCheck2.Test.check_exn prop)
 
 let prop_scan =
   QCheck2.Test.make ~name:"scan matches sequential fold on random arrays" ~count:25
@@ -117,6 +151,9 @@ let tests =
     Alcotest.test_case "scan empty" `Quick scan_empty;
     Alcotest.test_case "filter vs sequential" `Quick filter_matches_sequential;
     Alcotest.test_case "filter none/all" `Quick filter_none_and_all;
-    QCheck_alcotest.to_alcotest prop_sort;
+    Alcotest.test_case "merge_sort matches stdlib on records at P=1" `Quick (fun () ->
+        prop_sort ~procs:1);
+    Alcotest.test_case "merge_sort matches stdlib on records at P=procs" `Quick (fun () ->
+        prop_sort ~procs:(Domain.recommended_domain_count ()));
     QCheck_alcotest.to_alcotest prop_scan;
   ]

@@ -2,7 +2,7 @@
    of the paper's Figure 3 yield): idle thieves park after
    [park_threshold] empty-handed trips, a [push_task] wakes them with
    bounded latency, no task is lost across a park/unpark race
-   (conservation), the [yield_between_steals:false] ablation never
+   (conservation), the [~yield_kind:No_yield] ablation never
    yields or parks, and a task that raises in a worker loop is recorded
    in [Counters.task_exceptions] and re-raised at the [run]/[shutdown]
    boundary instead of killing its domain. *)
@@ -58,7 +58,7 @@ let push_wakes_parked_thief () =
               (wait_until (fun () -> Pool.parked_workers pool = 1));
             let executed = Atomic.make false in
             let t0 = Unix.gettimeofday () in
-            Pool.push_task w (fun () -> Atomic.set executed true);
+            ignore (Pool.push_task w (fun () -> Atomic.set executed true) : unit -> unit);
             (* Worker 0 only waits — it never pops its own deque here —
                so the task can only run if the push woke the thief. *)
             Alcotest.(check bool) "parked thief executed the task" true
@@ -100,7 +100,7 @@ let conservation_across_park_unpark () =
   Alcotest.(check bool) "steal breakdown complete" true (Counters.complete t)
 
 let ablation_never_parks_or_yields () =
-  let pool = Pool.create ~processes:3 ~yield_between_steals:false () in
+  let pool = Pool.create ~processes:3 ~yield_kind:No_yield () in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
@@ -124,7 +124,7 @@ let task_exception_reraised_at_run () =
       Alcotest.check_raises "run re-raises the task's exception" Boom (fun () ->
           Pool.run pool (fun () ->
               let w = Pool.current () in
-              Pool.push_task w (fun () -> raise Boom);
+              ignore (Pool.push_task w (fun () -> raise Boom) : unit -> unit);
               (* Wait for the worker loop to catch and record it, so the
                  re-raise deterministically happens at this run's exit. *)
               ignore
@@ -142,11 +142,13 @@ let task_exception_reraised_at_shutdown () =
       let w = Pool.current () in
       (* The task blocks on [gate], so it cannot have raised before this
          run returns; the exception then surfaces at shutdown. *)
-      Pool.push_task w (fun () ->
-          while not (Atomic.get gate) do
-            Domain.cpu_relax ()
-          done;
-          raise Boom));
+      ignore
+        (Pool.push_task w (fun () ->
+             while not (Atomic.get gate) do
+               Domain.cpu_relax ()
+             done;
+             raise Boom)
+          : unit -> unit));
   Atomic.set gate true;
   Alcotest.(check bool) "exception recorded after run returned" true
     (wait_until (fun () -> (totals pool).Counters.task_exceptions = 1));
